@@ -18,7 +18,8 @@ bench:
 # One pass over the sharded-engine scaling curve (1/2/4/8 shards) and the
 # shards x lanes grid (1/16/64 blocks per lane-packed submission), on both
 # the compiled-tape and interpreted simulation backends, plus the
-# per-simulator Eval micro-benchmarks: a cheap smoke that surfaces
+# per-simulator Eval micro-benchmarks, plus one SAT sign-off of the Encrypt
+# core (BenchmarkFormalVerify): a cheap smoke that surfaces
 # throughput-scaling regressions without the full bench suite. The -run
 # filter adds the observability overhead gate: an instrumented engine must
 # hold >= 95% of an uninstrumented twin's throughput. Wired into `verify`
@@ -26,6 +27,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^TestObsOverheadGate$$' -bench '^Benchmark(Engine|VectorLanes|ChaosRecovery)$$' -benchtime=1x .
 	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/
+	$(GO) test -run '^$$' -bench '^BenchmarkFormalVerify$$' -benchtime=1x ./internal/rijndael/
 
 # Machine-readable perf trajectory: runs the engine benchmarks and writes
 # cycles-per-block, Mbps and blocks/sec for every shards x lanes point —

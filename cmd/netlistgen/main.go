@@ -16,6 +16,7 @@ import (
 
 	"rijndaelip"
 	"rijndaelip/internal/dft"
+	"rijndaelip/internal/obs"
 	"rijndaelip/internal/rijndael"
 	"rijndaelip/internal/rtl"
 	"rijndaelip/internal/techmap"
@@ -65,12 +66,13 @@ func main() {
 		fail("%v", err)
 	}
 	if *verify {
+		c0 := obs.CPUSeconds()
 		rep, err := res.Verify(500000)
 		if err != nil {
 			fail("formal verification FAILED: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "netlistgen: formally proved %d/%d obligations (%d undecided)\n",
-			rep.Proved, rep.Obligations, len(rep.Undecided))
+		fmt.Fprintf(os.Stderr, "netlistgen: formally proved %d/%d obligations (%d undecided; %d LUTs merged, %d SAT calls, %.3f CPU s)\n",
+			rep.Proved, rep.Obligations, len(rep.Undecided), rep.Merged, rep.SATCalls, obs.CPUSeconds()-c0)
 	}
 
 	out2 := res.Netlist

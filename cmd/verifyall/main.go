@@ -27,6 +27,7 @@ import (
 	"rijndaelip/internal/bmc"
 	"rijndaelip/internal/designlint"
 	"rijndaelip/internal/netlist"
+	"rijndaelip/internal/obs"
 	"rijndaelip/internal/rijndael"
 	"rijndaelip/internal/rtl"
 	"rijndaelip/internal/srclint"
@@ -146,6 +147,7 @@ func main() {
 		})
 
 		step("SAT equivalence: netlist == RTL", func() (string, error) {
+			c0 := obs.CPUSeconds()
 			rep, err := res.Verify(500000)
 			if err != nil {
 				return "", err
@@ -153,7 +155,8 @@ func main() {
 			if len(rep.Undecided) > 0 {
 				return "", fmt.Errorf("%d obligations undecided", len(rep.Undecided))
 			}
-			return fmt.Sprintf("%d/%d obligations UNSAT", rep.Proved, rep.Obligations), nil
+			return fmt.Sprintf("%d/%d proved, %d LUTs merged, %d SAT calls, %.3f CPU s",
+				rep.Proved, rep.Obligations, rep.Merged, rep.SATCalls, obs.CPUSeconds()-c0), nil
 		})
 
 		if v == rijndael.Encrypt {

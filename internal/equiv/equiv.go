@@ -6,8 +6,10 @@
 //
 // Both sides are Tseitin-encoded into one CNF over shared source
 // variables (primary inputs, register outputs, memory read ports as cut
-// points); each specification root is proved equal to its implementation
-// net by asserting the XOR miter and expecting UNSAT.
+// points); a specification root is proved equal to its implementation net
+// by asserting the XOR miter and expecting UNSAT. Sweeper (sweep.go) first
+// proves the netlist's LUTs equal to AIG nodes one at a time, so most
+// roots close without a whole-netlist miter.
 package equiv
 
 import (
@@ -176,6 +178,14 @@ func (e *Encoder) EncodeNetlistComb(nl *netlist.Netlist) error {
 		e.EncodeLUT(ins, l.Mask, e.BindNet(l.Out))
 	}
 	return nil
+}
+
+// AddEquiv asserts a <-> b with two binary clauses. It is sound only for a
+// pair already proven equal: it adds no constraint the circuits do not
+// already imply, it only hands the solver the fact.
+func (e *Encoder) AddEquiv(a, b sat.Lit) {
+	e.S.AddClause(a.Not(), b)
+	e.S.AddClause(a, b.Not())
 }
 
 // Verdict is the outcome of one equivalence obligation.

@@ -236,3 +236,16 @@ func TestEventString(t *testing.T) {
 		}
 	}
 }
+
+func TestCPUSecondsAdvances(t *testing.T) {
+	c0 := CPUSeconds()
+	x := uint64(1)
+	for c1 := c0; c1 <= c0; c1 = CPUSeconds() {
+		for i := 0; i < 1e6; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+	}
+	if c0 < 0 || x == 0 {
+		t.Fatalf("CPUSeconds start %v", c0)
+	}
+}

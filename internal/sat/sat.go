@@ -51,6 +51,7 @@ const (
 type clause struct {
 	lits    []Lit
 	learned bool
+	deleted bool // dropped by reduceLearnts; unlinked lazily by propagate
 	act     float64
 }
 
@@ -234,24 +235,33 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 }
 
 // propagate runs unit propagation; it returns a conflicting clause or nil.
+// Each watch list is compacted in place (kept watches are copied down over
+// ws[:0] in their original order), so propagation allocates only when a
+// clause moves to another literal's list. Clauses deleted by reduceLearnts
+// are unlinked here as they are met.
 func (s *Solver) propagate() *clause {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
 		ws := s.watches[p]
-		s.watches[p] = nil
+		j := 0
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
+			if c.deleted {
+				continue
+			}
 			// Ensure the false literal is lits[1].
 			if c.lits[0] == p.Not() {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
 			}
 			if s.litValue(c.lits[0]) == vTrue {
-				s.watches[p] = append(s.watches[p], c)
+				ws[j] = c
+				j++
 				continue
 			}
-			// Find a new watch.
+			// Find a new watch. Its list is never ws itself: the new watch
+			// is not false, while every clause on ws watches the false p.Not().
 			found := false
 			for k := 2; k < len(c.lits); k++ {
 				if s.litValue(c.lits[k]) != vFalse {
@@ -265,14 +275,17 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			s.watches[p] = append(s.watches[p], c)
+			ws[j] = c
+			j++
 			if !s.enqueue(c.lits[0], c) {
-				// Conflict: restore remaining watches.
-				s.watches[p] = append(s.watches[p], ws[i+1:]...)
+				// Conflict: keep the unvisited watches.
+				j += copy(ws[j:], ws[i+1:])
+				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
 				return c
 			}
 		}
+		s.watches[p] = ws[:j]
 	}
 	return nil
 }
@@ -382,7 +395,9 @@ func (s *Solver) pickBranch() int {
 	return -1
 }
 
-// reduceLearnts removes the less active half of the learned clauses.
+// reduceLearnts removes the less active half of the learned clauses. A
+// removed clause is only flagged; propagate drops it from each watch list
+// the next time it walks that list.
 func (s *Solver) reduceLearnts() {
 	if len(s.learnts) < 100 {
 		return
@@ -395,27 +410,15 @@ func (s *Solver) reduceLearnts() {
 	}
 	avg := sum / float64(len(s.learnts))
 	kept := s.learnts[:0]
-	removed := map[*clause]bool{}
 	for _, c := range s.learnts {
 		if c.act >= avg || s.isReason(c) || len(c.lits) <= 2 {
 			kept = append(kept, c)
 		} else {
-			removed[c] = true
+			c.deleted = true
 		}
 	}
-	if len(removed) == 0 {
-		return
-	}
+	clear(s.learnts[len(kept):])
 	s.learnts = kept
-	for li := range s.watches {
-		ws := s.watches[li][:0]
-		for _, c := range s.watches[li] {
-			if !removed[c] {
-				ws = append(ws, c)
-			}
-		}
-		s.watches[li] = ws
-	}
 }
 
 func (s *Solver) isReason(c *clause) bool {

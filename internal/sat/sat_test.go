@@ -300,3 +300,39 @@ func TestRandomHard3SAT(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchStatsPinned pins the search trajectory on two seeded random
+// 3-SAT instances (ratio 4.26, as in TestRandomHard3SAT, but large enough
+// to restart and reduce learned clauses many times). Watch-list
+// maintenance is an implementation detail only as long as it keeps each
+// list's order: any change to which clause propagates first shows up here
+// as a different conflict, decision or propagation count.
+func TestSearchStatsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed                               int64
+		want                               Status
+		conflicts, decisions, propagations int64
+	}{
+		{4261, Sat, 4451, 5485, 145795},
+		{4441, Unsat, 11638, 14089, 381580},
+	} {
+		const nv = 180
+		rng := rand.New(rand.NewSource(tc.seed))
+		s := New(nv)
+		for i := 0; i < nv*426/100; i++ {
+			var c [3]Lit
+			for j := range c {
+				c[j] = MkLit(rng.Intn(nv), rng.Intn(2) == 0)
+			}
+			s.AddClause(c[:]...)
+		}
+		if got := s.Solve(); got != tc.want {
+			t.Fatalf("seed %d: verdict %v, want %v", tc.seed, got, tc.want)
+		}
+		if s.Conflicts != tc.conflicts || s.Decisions != tc.decisions || s.Propagations != tc.propagations {
+			t.Errorf("seed %d: conflicts/decisions/propagations = %d/%d/%d, want %d/%d/%d",
+				tc.seed, s.Conflicts, s.Decisions, s.Propagations,
+				tc.conflicts, tc.decisions, tc.propagations)
+		}
+	}
+}
