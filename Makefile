@@ -18,7 +18,8 @@ bench:
 # One pass over the sharded-engine scaling curve (1/2/4/8 shards) and the
 # shards x lanes grid (1/16/64 blocks per lane-packed submission), on both
 # the compiled-tape and interpreted simulation backends, plus the
-# per-simulator Eval micro-benchmarks, plus one SAT sign-off of the Encrypt
+# per-simulator Eval micro-benchmarks and the per-lane vs transposed ROM
+# gather (BenchmarkGatherROM), plus one SAT sign-off of the Encrypt
 # core (BenchmarkFormalVerify): a cheap smoke that surfaces
 # throughput-scaling regressions without the full bench suite. The -run
 # filter adds the observability overhead gate: an instrumented engine must
@@ -26,7 +27,7 @@ bench:
 # alongside vet and the race sweep.
 bench-smoke:
 	$(GO) test -run '^TestObsOverheadGate$$' -bench '^Benchmark(Engine|VectorLanes|ChaosRecovery)$$' -benchtime=1x .
-	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/
+	$(GO) test -run '^$$' -bench '^Benchmark(NetlistEval|RTLEval|GatherROM)$$' -benchtime=1x ./internal/netlist/ ./internal/rtl/ ./internal/logic/
 	$(GO) test -run '^$$' -bench '^BenchmarkFormalVerify$$' -benchtime=1x ./internal/rijndael/
 
 # Machine-readable perf trajectory: runs the engine benchmarks and writes

@@ -65,14 +65,14 @@ type Driver struct {
 
 // New builds a fresh simulator for a Rijndael IP core and returns a
 // driver. The simulation uses the interpreted RTL backend; NewCompiled
-// returns the tape-compiled, activity-gated equivalent.
+// returns the tape-compiled equivalent.
 func New(core *rijndael.Core) *Driver {
 	return newCore(core, core.Design.NewSimulator())
 }
 
 // NewCompiled is New over the compiled evaluation backend: the same core,
 // protocol and observable behaviour, simulated through the design's fused
-// instruction tape with activity-gated cycle skipping.
+// instruction tape, skipping the sweep on evaluations where nothing moved.
 func NewCompiled(core *rijndael.Core) *Driver {
 	return newCore(core, core.Design.NewCompiledSimulator())
 }
@@ -321,7 +321,7 @@ type KeyedFactory struct {
 	core *rijndael.Core
 	key  []byte
 
-	// Compiled selects the tape-compiled, activity-gated RTL backend for
+	// Compiled selects the tape-compiled RTL backend for
 	// the simulators Clone and CloneVector build. Set it before the first
 	// clone; caller-built simulators (CloneSim/CloneVectorSim) choose their
 	// own backend.

@@ -156,12 +156,9 @@ func (v *VectorDriver) ProcessVector(blocks [][]byte, encrypt bool) ([][]byte, i
 			return nil, 0, err
 		}
 		if okw[0]&used == used {
-			outs := make([][]byte, len(blocks))
-			for lane := range blocks {
-				outs[lane], err = v.VSim.OutputBitsLane("dout", lane)
-				if err != nil {
-					return nil, 0, err
-				}
+			outs, err := v.readLanes("dout", len(blocks))
+			if err != nil {
+				return nil, 0, err
 			}
 			if v.AssertLatency && v.DUT.BlockLatency > 0 && cycles != v.DUT.BlockLatency {
 				return outs, cycles, fmt.Errorf("%w: data_ok after %d cycles, expected %d on %s",
@@ -176,6 +173,31 @@ func (v *VectorDriver) ProcessVector(blocks [][]byte, encrypt bool) ([][]byte, i
 		v.Sim.Step()
 		cycles++
 	}
+}
+
+// readLanes reads a port as lane words in one call and de-transposes the
+// first n lanes into packed bytes, eight port bits (one byte of every
+// lane) at a time.
+func (v *VectorDriver) readLanes(port string, n int) ([][]byte, error) {
+	words, err := v.VSim.OutputWords(port)
+	if err != nil {
+		return nil, err
+	}
+	nb := (len(words) + 7) / 8
+	outs := make([][]byte, n)
+	buf := make([]byte, n*nb)
+	for lane := range outs {
+		outs[lane] = buf[lane*nb : (lane+1)*nb : (lane+1)*nb]
+	}
+	for k := 0; k < nb; k++ {
+		var m [8]uint64
+		copy(m[:], words[8*k:])
+		lanes := logic.LaneBytes(&m)
+		for lane, out := range outs {
+			out[k] = lanes[lane]
+		}
+	}
+	return outs, nil
 }
 
 // usedMask returns the lane mask with the low n lanes set.

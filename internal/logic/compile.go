@@ -9,8 +9,8 @@ package logic
 // precomputed XOR masks — ^0 for a complemented edge, 0 for a plain one).
 //
 // A Compiled tape is immutable after Compile and safe for concurrent use by
-// any number of simulators; per-simulator state (values, changed flags)
-// lives with the caller.
+// any number of simulators; per-simulator state (values) lives with the
+// caller.
 type Compiled struct {
 	ops []compOp
 }
@@ -61,74 +61,31 @@ func (c *Compiled) NumNodes() int { return len(c.ops) }
 // Net.EvalInto: values is indexed by node id and receives every node's
 // positive-output lane word.
 func (c *Compiled) EvalInto(inputs, values []uint64) {
+	c.EvalRange(0, len(c.ops), inputs, values)
+}
+
+// EvalRange is EvalInto restricted to the node-id range [from, to).
+// Because node ids are topological, a caller can interleave range sweeps
+// with external updates to inputs (the RTL simulator resolves each
+// asynchronous ROM exactly at its first output node) and still evaluate
+// every node exactly once per pass. The sweep is deliberately not gated
+// per node: on the Rijndael cores about 42 % of nodes move on every pass
+// with 64 independent lanes (about 20 % with one lane broadcast), and a
+// per-node "did a fanin move" branch mispredicts more than it saves.
+func (c *Compiled) EvalRange(from, to int, inputs, values []uint64) {
 	if len(values) != len(c.ops) {
-		panic("logic: Compiled.EvalInto values length mismatch")
+		panic("logic: Compiled.EvalRange values length mismatch")
 	}
-	values[0] = 0
-	for id := 1; id < len(c.ops); id++ {
+	if from < 1 {
+		values[0] = 0
+		from = 1
+	}
+	for id := from; id < to; id++ {
 		op := &c.ops[id]
 		if op.ord >= 0 {
 			values[id] = inputs[op.ord]
 			continue
 		}
 		values[id] = (values[op.a] ^ op.amask) & (values[op.b] ^ op.bmask)
-	}
-}
-
-// EvalGated is EvalInto with activity gating: changed[id] records whether
-// node id's value differs from the previous pass, and an AND node whose
-// fanins both held still is skipped outright (its cached value is already
-// correct). values doubles as the previous-pass snapshot, so gating is
-// value-exact — a node is skipped only when its output provably cannot have
-// moved. Pass full=true to force a complete re-evaluation (first pass after
-// construction, reset, or externally restored state); every node then
-// reports changed, which floods the flags downstream of any stale value.
-//
-// changed must be the same slice across passes (it carries no information
-// in, but is not cleared here; every entry is overwritten each pass).
-func (c *Compiled) EvalGated(inputs, values []uint64, changed []bool, full bool) {
-	c.EvalGatedRange(0, len(c.ops), inputs, values, changed, full)
-}
-
-// EvalGatedRange is EvalGated restricted to the node-id range [from, to).
-// Because node ids are topological, a caller can interleave range sweeps
-// with external updates to inputs (the RTL simulator resolves each
-// asynchronous ROM exactly at its first output node) and still evaluate
-// every node exactly once per pass. Skipping a leading range is sound only
-// when its nodes provably did not move this pass: their changed flags are
-// then left over from an earlier pass and may overstate activity (forcing
-// a recompute that lands on the same value) but never understate it.
-func (c *Compiled) EvalGatedRange(from, to int, inputs, values []uint64, changed []bool, full bool) {
-	if len(values) != len(c.ops) || len(changed) != len(c.ops) {
-		panic("logic: Compiled.EvalGatedRange slice length mismatch")
-	}
-	if from < 1 {
-		values[0] = 0
-		changed[0] = full
-		from = 1
-	}
-	for id := from; id < to; id++ {
-		op := &c.ops[id]
-		if op.ord >= 0 {
-			v := inputs[op.ord]
-			if full || values[id] != v {
-				values[id] = v
-				changed[id] = true
-			} else {
-				changed[id] = false
-			}
-			continue
-		}
-		if !full && !changed[op.a] && !changed[op.b] {
-			changed[id] = false
-			continue
-		}
-		v := (values[op.a] ^ op.amask) & (values[op.b] ^ op.bmask)
-		if full || values[id] != v {
-			values[id] = v
-			changed[id] = true
-		} else {
-			changed[id] = false
-		}
 	}
 }

@@ -40,9 +40,9 @@ func randNet(r *rand.Rand, nIn, nOps int) (*Net, []Lit) {
 }
 
 // TestCompiledEvalMatchesInterpreter drives random nets with random stimulus
-// through the interpreted EvalInto, the compiled EvalInto and the compiled
-// activity-gated EvalGated; all three must agree on every node value at
-// every pass.
+// through the interpreted EvalInto, the compiled EvalInto and a chain of
+// compiled EvalRange sweeps split at random boundaries; all three must
+// agree on every node value at every pass.
 func TestCompiledEvalMatchesInterpreter(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5eed))
 	rounds := 20
@@ -59,11 +59,10 @@ func TestCompiledEvalMatchesInterpreter(t *testing.T) {
 		inputs := make([]uint64, n.NumInputs())
 		ref := make([]uint64, n.NumNodes())
 		flat := make([]uint64, n.NumNodes())
-		gated := make([]uint64, n.NumNodes())
-		changed := make([]bool, n.NumNodes())
+		split := make([]uint64, n.NumNodes())
 		for pass := 0; pass < passes; pass++ {
 			// Mostly incremental stimulus (a few inputs move) with
-			// occasional full randomization, so gating actually skips work.
+			// occasional full randomization.
 			if pass == 0 || r.Intn(8) == 0 {
 				for i := range inputs {
 					inputs[i] = r.Uint64()
@@ -75,13 +74,17 @@ func TestCompiledEvalMatchesInterpreter(t *testing.T) {
 			}
 			n.EvalInto(inputs, ref)
 			c.EvalInto(inputs, flat)
-			c.EvalGated(inputs, gated, changed, pass == 0)
+			for from := 0; from < n.NumNodes(); {
+				to := from + 1 + r.Intn(n.NumNodes()-from)
+				c.EvalRange(from, to, inputs, split)
+				from = to
+			}
 			for id := 0; id < n.NumNodes(); id++ {
 				if flat[id] != ref[id] {
 					t.Fatalf("round %d pass %d: compiled EvalInto node %d = %#x, interpreter %#x", round, pass, id, flat[id], ref[id])
 				}
-				if gated[id] != ref[id] {
-					t.Fatalf("round %d pass %d: EvalGated node %d = %#x, interpreter %#x", round, pass, id, gated[id], ref[id])
+				if split[id] != ref[id] {
+					t.Fatalf("round %d pass %d: split EvalRange node %d = %#x, interpreter %#x", round, pass, id, split[id], ref[id])
 				}
 			}
 		}

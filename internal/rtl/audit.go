@@ -7,8 +7,9 @@ import "fmt"
 // without executing it. On top of the per-node tape obligations proved by
 // logic.Net.AuditCompiled, the schedule-level audit checks that
 //
-//   - register and ROM state presentation uses the exact input ordinals
-//     of the corresponding pseudo-input literals;
+//   - register and ROM state presentation, and input-port stimulus, use
+//     the exact input ordinals of the corresponding pseudo-input literals,
+//     and every port name is bound to its declared port index;
 //   - there is exactly one gather segment per asynchronous ROM (the EDAC
 //     correction-counter contract) and none for synchronous ROMs;
 //   - segments follow ROM declaration order with strictly increasing
@@ -32,26 +33,38 @@ func (d *Design) AuditCompiled() []string {
 		out = append(out, "tape: "+msg)
 	}
 
-	// State-presentation ordinals.
-	for i := range b.regs {
-		if len(sc.regOrd[i]) != len(b.regs[i].q) {
-			fail("register %s: %d presentation ordinals for %d bits", b.regs[i].name, len(sc.regOrd[i]), len(b.regs[i].q))
-			continue
+	// State-presentation and stimulus ordinals.
+	auditOrds := func(kind, name string, got []int32, bus Bus) {
+		if len(got) != len(bus) {
+			fail("%s %s: %d ordinals for %d bits", kind, name, len(got), len(bus))
+			return
 		}
-		for bit, l := range b.regs[i].q {
-			if want := int32(b.aig.InputOrdinal(l)); sc.regOrd[i][bit] != want {
-				fail("register %s[%d]: presents input ordinal %d, pseudo-input is ordinal %d",
-					b.regs[i].name, bit, sc.regOrd[i][bit], want)
+		for bit, l := range bus {
+			if want := int32(b.aig.InputOrdinal(l)); got[bit] != want {
+				fail("%s %s[%d]: bound to input ordinal %d, pseudo-input is ordinal %d", kind, name, bit, got[bit], want)
 			}
 		}
 	}
+	for i := range b.regs {
+		auditOrds("register", b.regs[i].name, sc.regOrd[i], b.regs[i].q)
+	}
 	for i := range b.roms {
-		for bit, l := range b.roms[i].out {
-			if want := int32(b.aig.InputOrdinal(l)); sc.romOrd[i][bit] != want {
-				fail("ROM %s out[%d]: presents input ordinal %d, pseudo-input is ordinal %d",
-					b.roms[i].name, bit, sc.romOrd[i][bit], want)
+		auditOrds("ROM output", b.roms[i].name, sc.romOrd[i][:], b.roms[i].out)
+	}
+	auditPorts := func(kind string, index map[string]int, ports []port) {
+		if len(index) != len(ports) {
+			fail("%s ports: %d bound names for %d ports", kind, len(index), len(ports))
+		}
+		for i, p := range ports {
+			if got, ok := index[p.name]; !ok || got != i {
+				fail("%s port %s: bound to port index %d (present %v), declared at %d", kind, p.name, got, ok, i)
 			}
 		}
+	}
+	auditPorts("input", sc.inPort, b.inputs)
+	auditPorts("output", sc.outPort, b.outputs)
+	for i, p := range b.inputs {
+		auditOrds("input", p.name, sc.inOrd[i], p.bus)
 	}
 
 	// Gather plan: declaration order, one segment per async ROM, boundaries
@@ -86,11 +99,13 @@ func (d *Design) AuditCompiled() []string {
 		}
 		prevBoundary = seg.boundary
 		// Address resolved before the gather: the whole address cone lies
-		// strictly below the boundary.
-		for _, id := range b.aig.Cone(r.addr) {
-			if int(id) >= seg.boundary {
-				fail("segment %d: ROM %s address cone reaches n%d at/after boundary %d: gather would read an unresolved address",
-					si, r.name, id, seg.boundary)
+		// strictly below the boundary. The tape audit proves every operand
+		// precedes its node, so an address literal is the highest node of
+		// its own cone and checking the literals covers the cone.
+		for bit, l := range r.addr {
+			if int(l.Node()) >= seg.boundary {
+				fail("segment %d: ROM %s addr[%d] is n%d at/after boundary %d: gather would read an unresolved address",
+					si, r.name, bit, l.Node(), seg.boundary)
 			}
 		}
 		for bit, l := range r.out {

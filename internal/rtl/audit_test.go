@@ -65,6 +65,20 @@ func TestAuditCompiledScheduleSensitivity(t *testing.T) {
 			sc.regOrd[0][0]++
 			return func() { sc.regOrd[0][0] = old }
 		}},
+		{"input-ordinal", func() func() {
+			old := sc.inOrd[0][1]
+			sc.inOrd[0][1]++
+			return func() { sc.inOrd[0][1] = old }
+		}},
+		{"input-port-swapped", func() func() {
+			sc.inPort["din"], sc.inPort["ctl"] = sc.inPort["ctl"], sc.inPort["din"]
+			return func() { sc.inPort["din"], sc.inPort["ctl"] = sc.inPort["ctl"], sc.inPort["din"] }
+		}},
+		{"output-port-unbound", func() func() {
+			old := sc.outPort["dout"]
+			delete(sc.outPort, "dout")
+			return func() { sc.outPort["dout"] = old }
+		}},
 		{"rom-ordinal", func() func() {
 			old := sc.romOrd[0][0]
 			sc.romOrd[0][0]++

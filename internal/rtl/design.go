@@ -20,10 +20,11 @@ type Design struct {
 	romLevels   []int
 	maxROMLevel int
 
-	// Compiled evaluation schedule shared by every compiled simulator of
-	// this design; built lazily on the first NewCompiledSimulator and
-	// rebuilt if the underlying AIG has grown since (e.g. extra logic added
-	// by a later synthesis pass).
+	// Compiled evaluation schedule shared by every simulator of this
+	// design (the interpreter uses its port and state ordinals only);
+	// built lazily on the first NewSimulator and rebuilt if the underlying
+	// AIG has grown since (e.g. extra logic added by a later synthesis
+	// pass).
 	compMu   sync.Mutex
 	compiled *compSched
 }
@@ -40,10 +41,15 @@ type Design struct {
 type compSched struct {
 	tape *logic.Compiled
 	segs []romSeg
-	// Precomputed input ordinals (per register bit, per ROM output bit) so
-	// state presentation avoids the aig.InputOrdinal map lookup per bit.
-	regOrd [][]int32
-	romOrd [][8]int32
+	// Precomputed input ordinals (per register bit, per ROM output bit,
+	// per input-port bit) so state presentation and stimulus writes avoid
+	// the aig.InputOrdinal map lookup per bit, and port indices so a port
+	// access resolves its name once per call.
+	regOrd  [][]int32
+	romOrd  [][8]int32
+	inOrd   [][]int32
+	inPort  map[string]int
+	outPort map[string]int
 }
 
 // romSeg schedules one asynchronous ROM: evaluate the tape up to boundary
@@ -63,20 +69,32 @@ func (d *Design) compiledSched() *compSched {
 	}
 	b := d.b
 	sc := &compSched{
-		tape:   b.aig.Compile(),
-		regOrd: make([][]int32, len(b.regs)),
-		romOrd: make([][8]int32, len(b.roms)),
+		tape:    b.aig.Compile(),
+		regOrd:  make([][]int32, len(b.regs)),
+		romOrd:  make([][8]int32, len(b.roms)),
+		inOrd:   make([][]int32, len(b.inputs)),
+		inPort:  make(map[string]int, len(b.inputs)),
+		outPort: make(map[string]int, len(b.outputs)),
+	}
+	ords := func(bus Bus) []int32 {
+		o := make([]int32, len(bus))
+		for bit, l := range bus {
+			o[bit] = int32(b.aig.InputOrdinal(l))
+		}
+		return o
 	}
 	for i := range b.regs {
-		sc.regOrd[i] = make([]int32, len(b.regs[i].q))
-		for bit, l := range b.regs[i].q {
-			sc.regOrd[i][bit] = int32(b.aig.InputOrdinal(l))
-		}
+		sc.regOrd[i] = ords(b.regs[i].q)
+	}
+	for i, p := range b.inputs {
+		sc.inOrd[i] = ords(p.bus)
+		sc.inPort[p.name] = i
+	}
+	for i, p := range b.outputs {
+		sc.outPort[p.name] = i
 	}
 	for i := range b.roms {
-		for bit, l := range b.roms[i].out {
-			sc.romOrd[i][bit] = int32(b.aig.InputOrdinal(l))
-		}
+		copy(sc.romOrd[i][:], ords(b.roms[i].out))
 		if b.roms[i].style == ROMAsync {
 			// Declaration order is dependency order: an address literal must
 			// exist when ROM() is called, so boundaries are increasing.

@@ -316,6 +316,66 @@ func TestSetInputErrors(t *testing.T) {
 	}
 }
 
+// TestSetInputBitsLengthMatchesNetlist feeds short, exact and long byte
+// slices to the packed-byte stimulus calls of both simulators (RTL
+// interpreted and compiled, the synthesized netlist interpreted and
+// compiled): all must accept exactly (width+7)/8 bytes and reject the rest.
+func TestSetInputBitsLengthMatchesNetlist(t *testing.T) {
+	b := NewBuilder("widths")
+	g := b.Logic()
+	var acc logic.Lit = logic.False
+	widths := map[string]int{"d1": 1, "d8": 8, "d12": 12, "d128": 128}
+	for _, name := range []string{"d1", "d8", "d12", "d128"} {
+		for _, l := range b.Input(name, widths[name]) {
+			acc = g.Xor(acc, l)
+		}
+	}
+	r := b.Reg("par", 1)
+	r.SetNext(Bus{acc}, logic.True)
+	b.Output("par", r.Q)
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := d.Synthesize(techmap.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type bitsSim interface {
+		SetInputBits(name string, bits []byte) error
+		SetInputBitsLane(name string, lane int, bits []byte) error
+	}
+	sims := map[string]bitsSim{"rtl": d.NewSimulator(), "rtl-compiled": d.NewCompiledSimulator()}
+	if sims["netlist"], err = netlist.NewSimulator(nl); err != nil {
+		t.Fatal(err)
+	}
+	if sims["netlist-compiled"], err = netlist.NewCompiledSimulator(nl); err != nil {
+		t.Fatal(err)
+	}
+	for name, width := range widths {
+		want := (width + 7) / 8
+		for _, n := range []int{0, want - 1, want, want + 1, want + 8} {
+			if n < 0 {
+				continue
+			}
+			for backend, sim := range sims {
+				for _, call := range []struct {
+					what string
+					err  error
+				}{
+					{"SetInputBits", sim.SetInputBits(name, make([]byte, n))},
+					{"SetInputBitsLane", sim.SetInputBitsLane(name, 3, make([]byte, n))},
+				} {
+					if accepted := call.err == nil; accepted != (n == want) {
+						t.Errorf("%s %s(%s, %d bytes) for %d bits: accepted=%v, want %v (err %v)",
+							backend, call.what, name, n, width, accepted, n == want, call.err)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWideBusBits(t *testing.T) {
 	b := NewBuilder("wide")
 	in := b.Input("din", 128)

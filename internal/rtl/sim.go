@@ -25,6 +25,7 @@ import (
 // observe a single lane for vectorized workloads.
 type Simulator struct {
 	d      *Design
+	sc     *compSched // the design's shared schedule: port and state ordinals, tape
 	inputs []uint64   // per-AIG-input lane word (bit L = lane L's value)
 	values []uint64   // per-AIG-node lane words from the last Eval
 	regQ   [][]uint64 // per register, per bit: one lane word
@@ -32,18 +33,12 @@ type Simulator struct {
 	roms   []*edac.ROM // per-ROM EDAC stores both read paths go through
 	cycles uint64
 
-	piIndex map[string]int
-
-	// Compiled backend (NewCompiledSimulator): comp is the design's shared
-	// evaluation schedule, changed the per-node activity flags, full a
-	// request to bypass activity gating on the next Eval pass (set after
-	// construction and Reset, when cached values are not trustworthy).
-	// stimDirty records that a stimulus write actually moved an input lane
-	// word since the last Eval; with it clear and no state movement, Eval
-	// skips the tape entirely and only performs the per-ROM EDAC gathers.
-	comp      *compSched
-	changed   []bool
-	full      bool
+	// compiled selects the tape evaluator (NewCompiledSimulator).
+	// stimDirty records that the tape must be swept on the next Eval: a
+	// stimulus write moved an input lane word, or the simulator was just
+	// built or Reset. With it clear and no state movement, Eval skips the
+	// tape entirely and only performs the per-ROM EDAC gathers.
+	compiled  bool
 	stimDirty bool
 }
 
@@ -51,15 +46,13 @@ type Simulator struct {
 // (broadcast across all lanes).
 func (d *Design) NewSimulator() *Simulator {
 	s := &Simulator{
-		d:       d,
-		inputs:  make([]uint64, d.b.aig.NumInputs()),
-		values:  make([]uint64, d.b.aig.NumNodes()),
-		regQ:    make([][]uint64, len(d.b.regs)),
-		romQ:    make([][8]uint64, len(d.b.roms)),
-		piIndex: map[string]int{},
-	}
-	for i, p := range d.b.inputs {
-		s.piIndex[p.name] = i
+		d:         d,
+		sc:        d.compiledSched(),
+		inputs:    make([]uint64, d.b.aig.NumInputs()),
+		values:    make([]uint64, d.b.aig.NumNodes()),
+		regQ:      make([][]uint64, len(d.b.regs)),
+		romQ:      make([][8]uint64, len(d.b.roms)),
+		stimDirty: true,
 	}
 	for i := range d.b.regs {
 		s.regQ[i] = initWords(d.b.regs[i].init)
@@ -72,18 +65,15 @@ func (d *Design) NewSimulator() *Simulator {
 }
 
 // NewCompiledSimulator returns a simulator backed by the design's compiled
-// instruction tape with activity-gated evaluation. It is observationally
-// identical to NewSimulator — same outputs, register/ROM state, cycle
-// counts and EDAC read statistics — but evaluates combinational logic as
-// one segmented linear sweep over a flat tape (asynchronous ROMs resolved
-// in place rather than by whole-AIG re-passes), skips nodes whose fanin
-// lane words did not change since the previous pass, and skips the sweep
-// altogether when no stimulus or sequential state moved at all.
+// instruction tape. It is observationally identical to NewSimulator — same
+// outputs, register/ROM state, cycle counts and EDAC read statistics — but
+// evaluates combinational logic as one segmented linear sweep over a flat
+// tape (asynchronous ROMs resolved in place rather than by whole-AIG
+// re-passes), and skips the sweep altogether when no stimulus or
+// sequential state moved at all.
 func (d *Design) NewCompiledSimulator() *Simulator {
 	s := d.NewSimulator()
-	s.comp = d.compiledSched()
-	s.changed = make([]bool, len(s.values))
-	s.full = true
+	s.compiled = true
 	return s
 }
 
@@ -110,7 +100,7 @@ func (s *Simulator) Reset() {
 		s.romQ[i] = [8]uint64{}
 	}
 	s.cycles = 0
-	s.full = true
+	s.stimDirty = true
 }
 
 // Cycles returns the number of Step calls since construction or Reset.
@@ -125,127 +115,132 @@ func (s *Simulator) ROMStores() []*edac.ROM { return s.roms }
 // SetInput drives an input port with the little-endian bits of value,
 // broadcast identically across all 64 lanes.
 func (s *Simulator) SetInput(name string, value uint64) error {
-	i, ok := s.piIndex[name]
-	if !ok {
-		return fmt.Errorf("rtl: no input port %q", name)
-	}
-	p := s.d.b.inputs[i]
-	if len(p.bus) > 64 {
-		return fmt.Errorf("rtl: input %q wider than 64 bits, use SetInputBits", name)
-	}
-	for bit, l := range p.bus {
-		s.setInputLit(l, value>>uint(bit)&1 != 0)
-	}
-	return nil
+	return s.setInputValue(name, ^uint64(0), value, "SetInputBits")
 }
 
 // SetInputBits drives an input port from packed bytes (bit i of the port at
-// bits[i/8] bit i%8), broadcast identically across all 64 lanes.
+// bits[i/8] bit i%8), broadcast identically across all 64 lanes. bits must
+// be exactly (width+7)/8 bytes long.
 func (s *Simulator) SetInputBits(name string, bits []byte) error {
-	i, ok := s.piIndex[name]
-	if !ok {
-		return fmt.Errorf("rtl: no input port %q", name)
-	}
-	p := s.d.b.inputs[i]
-	if len(bits)*8 < len(p.bus) {
-		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(p.bus), len(bits)*8)
-	}
-	for bit, l := range p.bus {
-		s.setInputLit(l, bits[bit/8]>>(uint(bit)%8)&1 != 0)
-	}
-	return nil
+	return s.setInputBytes(name, ^uint64(0), bits)
 }
 
 // SetInputLane drives an input port on a single lane, leaving the other
 // lanes' stimulus untouched.
 func (s *Simulator) SetInputLane(name string, lane int, value uint64) error {
-	if lane < 0 || lane >= logic.Lanes {
-		return fmt.Errorf("rtl: lane %d out of range [0,%d)", lane, logic.Lanes)
+	if err := checkLane(lane); err != nil {
+		return err
 	}
-	i, ok := s.piIndex[name]
-	if !ok {
-		return fmt.Errorf("rtl: no input port %q", name)
-	}
-	p := s.d.b.inputs[i]
-	if len(p.bus) > 64 {
-		return fmt.Errorf("rtl: input %q wider than 64 bits, use SetInputBitsLane", name)
-	}
-	for bit, l := range p.bus {
-		s.setInputLitLane(l, lane, value>>uint(bit)&1 != 0)
-	}
-	return nil
+	return s.setInputValue(name, 1<<uint(lane), value, "SetInputBitsLane")
 }
 
 // SetInputBitsLane drives an input port on a single lane from packed
 // bytes, leaving the other lanes' stimulus untouched.
 func (s *Simulator) SetInputBitsLane(name string, lane int, bits []byte) error {
+	if err := checkLane(lane); err != nil {
+		return err
+	}
+	return s.setInputBytes(name, 1<<uint(lane), bits)
+}
+
+func checkLane(lane int) error {
 	if lane < 0 || lane >= logic.Lanes {
 		return fmt.Errorf("rtl: lane %d out of range [0,%d)", lane, logic.Lanes)
-	}
-	i, ok := s.piIndex[name]
-	if !ok {
-		return fmt.Errorf("rtl: no input port %q", name)
-	}
-	p := s.d.b.inputs[i]
-	if len(bits)*8 < len(p.bus) {
-		return fmt.Errorf("rtl: input %q needs %d bits, got %d", name, len(p.bus), len(bits)*8)
-	}
-	for bit, l := range p.bus {
-		s.setInputLitLane(l, lane, bits[bit/8]>>(uint(bit)%8)&1 != 0)
 	}
 	return nil
 }
 
-func (s *Simulator) setInputLit(l logic.Lit, v bool) {
-	ord := s.d.b.aig.InputOrdinal(l)
-	if w := logic.Word(v); s.inputs[ord] != w {
+// inputOrds resolves an input port name to its per-bit input ordinals.
+func (s *Simulator) inputOrds(name string) ([]int32, error) {
+	i, ok := s.sc.inPort[name]
+	if !ok {
+		return nil, fmt.Errorf("rtl: no input port %q", name)
+	}
+	return s.sc.inOrd[i], nil
+}
+
+func (s *Simulator) setInputValue(name string, mask, value uint64, wide string) error {
+	ords, err := s.inputOrds(name)
+	if err != nil {
+		return err
+	}
+	if len(ords) > 64 {
+		return fmt.Errorf("rtl: input %q wider than 64 bits, use %s", name, wide)
+	}
+	for bit, ord := range ords {
+		s.drive(ord, mask, value>>uint(bit)&1 != 0)
+	}
+	return nil
+}
+
+func (s *Simulator) setInputBytes(name string, mask uint64, bits []byte) error {
+	ords, err := s.inputOrds(name)
+	if err != nil {
+		return err
+	}
+	if want := (len(ords) + 7) / 8; len(bits) != want {
+		return fmt.Errorf("rtl: input %q needs %d bytes for %d bits, got %d bytes", name, want, len(ords), len(bits))
+	}
+	for bit, ord := range ords {
+		s.drive(ord, mask, bits[bit/8]>>(uint(bit)%8)&1 != 0)
+	}
+	return nil
+}
+
+// drive sets the lanes selected by mask of input ordinal ord to v.
+func (s *Simulator) drive(ord int32, mask uint64, v bool) {
+	if w := s.inputs[ord]&^mask | logic.Word(v)&mask; s.inputs[ord] != w {
 		s.inputs[ord] = w
 		s.stimDirty = true
 	}
 }
 
-func (s *Simulator) setInputLitLane(l logic.Lit, lane int, v bool) {
-	ord := s.d.b.aig.InputOrdinal(l)
-	mask := uint64(1) << uint(lane)
-	w := s.inputs[ord] &^ mask
-	if v {
-		w |= mask
+// presentState drives register and synchronous-ROM state onto their AIG
+// pseudo-inputs (asynchronous ROM outputs are resolved during Eval) and
+// reports whether any presented lane word moved.
+func (s *Simulator) presentState() bool {
+	moved := false
+	for i, ords := range s.sc.regOrd {
+		for bit, ord := range ords {
+			if w := s.regQ[i][bit]; s.inputs[ord] != w {
+				s.inputs[ord] = w
+				moved = true
+			}
+		}
 	}
-	if s.inputs[ord] != w {
-		s.inputs[ord] = w
-		s.stimDirty = true
+	for i := range s.d.b.roms {
+		if s.d.b.roms[i].style == ROMSync {
+			for bit, ord := range s.sc.romOrd[i] {
+				if w := s.romQ[i][bit]; s.inputs[ord] != w {
+					s.inputs[ord] = w
+					moved = true
+				}
+			}
+		}
 	}
+	return moved
 }
 
-// setInputWord presents a full lane word on an AIG pseudo-input (register
-// and ROM state presentation).
-func (s *Simulator) setInputWord(l logic.Lit, w uint64) {
-	s.inputs[s.d.b.aig.InputOrdinal(l)] = w
+// gather reads ROM ri through its EDAC store at the per-lane address the
+// last evaluation left on its address literals.
+func (s *Simulator) gather(ri int) [8]uint64 {
+	var addr [8]uint64
+	for bit, l := range s.d.b.roms[ri].addr {
+		addr[bit] = logic.LitValue(s.values, l)
+	}
+	return s.roms[ri].Gather(&addr)
 }
 
 // Eval propagates inputs and current state through the combinational logic
 // on all lanes, resolving asynchronous ROM reads per lane. It does not
 // advance the clock.
 func (s *Simulator) Eval() {
-	if s.comp != nil {
+	if s.compiled {
 		s.evalCompiled()
 		return
 	}
 	b := s.d.b
-	// Present register state.
-	for i := range b.regs {
-		for bit, l := range b.regs[i].q {
-			s.setInputWord(l, s.regQ[i][bit])
-		}
-	}
-	// Present synchronous ROM state; async ROM outputs resolved below.
-	for i := range b.roms {
-		if b.roms[i].style == ROMSync {
-			for bit, l := range b.roms[i].out {
-				s.setInputWord(l, s.romQ[i][bit])
-			}
-		}
-	}
+	s.presentState()
 	// Resolve asynchronous ROM reads level by level: after each evaluation
 	// pass, every ROM whose address cone is already valid (level == pass)
 	// latches its per-lane read data onto its output pseudo-inputs, and the
@@ -256,14 +251,9 @@ func (s *Simulator) Eval() {
 			if s.d.romLevels[ri] != lvl {
 				continue
 			}
-			rom := &b.roms[ri]
-			var addr [8]uint64
-			for bit, l := range rom.addr {
-				addr[bit] = logic.LitValue(s.values, l)
-			}
-			data := s.roms[ri].Gather(&addr)
-			for bit, l := range rom.out {
-				s.setInputWord(l, data[bit])
+			data := s.gather(ri)
+			for bit, ord := range s.sc.romOrd[ri] {
+				s.inputs[ord] = data[bit]
 			}
 		}
 	}
@@ -276,54 +266,23 @@ func (s *Simulator) Eval() {
 // resolved, because a ROM's outputs are created after its address
 // literals). That keeps one EDAC Gather per async ROM per call — the
 // interpreter's correction-counter contract — while evaluating every node
-// at most once instead of the interpreter's maxROMLevel+2 whole-AIG
-// passes. Two further cuts ride on value-exact activity gating: nodes
-// whose fanin lane words held still are skipped, and when nothing moved at
-// all since the previous Eval (the driver's Eval-then-Step pattern
-// re-evaluates an unchanged circuit every cycle) the tape is skipped
-// entirely and only the gathers run. Fault injections need no special
-// casing because gating compares values: a struck register or ROM word
-// changes a presented lane word, which floods the affected cone.
+// once instead of the interpreter's maxROMLevel+2 whole-AIG passes. When
+// nothing moved at all since the previous Eval (the driver's
+// Eval-then-Step pattern re-evaluates an unchanged circuit every cycle) the
+// tape is skipped entirely and only the gathers run; a gather whose data
+// moved (a struck or scrubbed ROM word) resumes the sweep at that ROM's
+// outputs. Nodes are not gated individually (see logic.Compiled.EvalRange).
 func (s *Simulator) evalCompiled() {
-	b := s.d.b
-	sc := s.comp
-	full := s.full
-	s.full = false
-	dirty := full || s.stimDirty
+	sc := s.sc
+	dirty := s.presentState() || s.stimDirty
 	s.stimDirty = false
-	// Present register state.
-	for i := range b.regs {
-		q := s.regQ[i]
-		for bit, ord := range sc.regOrd[i] {
-			if w := q[bit]; s.inputs[ord] != w {
-				s.inputs[ord] = w
-				dirty = true
-			}
-		}
-	}
-	// Present synchronous ROM state; async ROMs are resolved in the sweep.
-	for i := range b.roms {
-		if b.roms[i].style == ROMSync {
-			for bit, ord := range sc.romOrd[i] {
-				if w := s.romQ[i][bit]; s.inputs[ord] != w {
-					s.inputs[ord] = w
-					dirty = true
-				}
-			}
-		}
-	}
 	pos := 0
 	for _, seg := range sc.segs {
 		if dirty {
-			s.comp.tape.EvalGatedRange(pos, seg.boundary, s.inputs, s.values, s.changed, full)
+			sc.tape.EvalRange(pos, seg.boundary, s.inputs, s.values)
 			pos = seg.boundary
 		}
-		rom := &b.roms[seg.rom]
-		var addr [8]uint64
-		for bit, l := range rom.addr {
-			addr[bit] = logic.LitValue(s.values, l)
-		}
-		data := s.roms[seg.rom].Gather(&addr)
+		data := s.gather(seg.rom)
 		for bit, ord := range sc.romOrd[seg.rom] {
 			if s.inputs[ord] != data[bit] {
 				// Quiescent inputs but moved read data: the store was damaged
@@ -338,7 +297,7 @@ func (s *Simulator) evalCompiled() {
 		}
 	}
 	if dirty {
-		s.comp.tape.EvalGatedRange(pos, s.comp.tape.NumNodes(), s.inputs, s.values, s.changed, full)
+		sc.tape.EvalRange(pos, sc.tape.NumNodes(), s.inputs, s.values)
 	}
 }
 
@@ -360,15 +319,9 @@ func (s *Simulator) Step() {
 		}
 	}
 	for i := range b.roms {
-		rom := &b.roms[i]
-		if rom.style != ROMSync {
-			continue
+		if b.roms[i].style == ROMSync {
+			s.romQ[i] = s.gather(i)
 		}
-		var addr [8]uint64
-		for bit, l := range rom.addr {
-			addr[bit] = logic.LitValue(s.values, l)
-		}
-		s.romQ[i] = s.roms[i].Gather(&addr)
 	}
 	s.cycles++
 }
@@ -391,27 +344,32 @@ func (s *Simulator) Output(name string) (uint64, error) {
 	return s.OutputLane(name, 0)
 }
 
+// outputBus resolves an output port name to its literals.
+func (s *Simulator) outputBus(name string) (Bus, error) {
+	i, ok := s.sc.outPort[name]
+	if !ok {
+		return nil, fmt.Errorf("rtl: no output port %q", name)
+	}
+	return s.d.b.outputs[i].bus, nil
+}
+
 // OutputLane reads an output port as a little-endian value on one lane.
 func (s *Simulator) OutputLane(name string, lane int) (uint64, error) {
-	if lane < 0 || lane >= logic.Lanes {
-		return 0, fmt.Errorf("rtl: lane %d out of range [0,%d)", lane, logic.Lanes)
+	if err := checkLane(lane); err != nil {
+		return 0, err
 	}
-	for _, p := range s.d.b.outputs {
-		if p.name != name {
-			continue
-		}
-		if len(p.bus) > 64 {
-			return 0, fmt.Errorf("rtl: output %q wider than 64 bits, use OutputBits", name)
-		}
-		var v uint64
-		for bit, l := range p.bus {
-			if logic.LitValue(s.values, l)>>uint(lane)&1 != 0 {
-				v |= 1 << uint(bit)
-			}
-		}
-		return v, nil
+	bus, err := s.outputBus(name)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("rtl: no output port %q", name)
+	if len(bus) > 64 {
+		return 0, fmt.Errorf("rtl: output %q wider than 64 bits, use OutputBits", name)
+	}
+	var v uint64
+	for bit, l := range bus {
+		v |= logic.LitValue(s.values, l) >> uint(lane) & 1 << uint(bit)
+	}
+	return v, nil
 }
 
 // OutputBits reads an output port into packed bytes on lane 0.
@@ -421,39 +379,33 @@ func (s *Simulator) OutputBits(name string) ([]byte, error) {
 
 // OutputBitsLane reads an output port into packed bytes on one lane.
 func (s *Simulator) OutputBitsLane(name string, lane int) ([]byte, error) {
-	if lane < 0 || lane >= logic.Lanes {
-		return nil, fmt.Errorf("rtl: lane %d out of range [0,%d)", lane, logic.Lanes)
+	if err := checkLane(lane); err != nil {
+		return nil, err
 	}
-	for _, p := range s.d.b.outputs {
-		if p.name != name {
-			continue
-		}
-		bits := make([]byte, (len(p.bus)+7)/8)
-		for bit, l := range p.bus {
-			if logic.LitValue(s.values, l)>>uint(lane)&1 != 0 {
-				bits[bit/8] |= 1 << (uint(bit) % 8)
-			}
-		}
-		return bits, nil
+	bus, err := s.outputBus(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("rtl: no output port %q", name)
+	bits := make([]byte, (len(bus)+7)/8)
+	for bit, l := range bus {
+		bits[bit/8] |= byte(logic.LitValue(s.values, l)>>uint(lane)&1) << (uint(bit) % 8)
+	}
+	return bits, nil
 }
 
 // OutputWords reads an output port as raw lane words: element i is the
 // lane word of port bit i (bit L = lane L's value). This is the transposed
 // view vectorized monitors use to compare all lanes in one pass.
 func (s *Simulator) OutputWords(name string) ([]uint64, error) {
-	for _, p := range s.d.b.outputs {
-		if p.name != name {
-			continue
-		}
-		out := make([]uint64, len(p.bus))
-		for bit, l := range p.bus {
-			out[bit] = logic.LitValue(s.values, l)
-		}
-		return out, nil
+	bus, err := s.outputBus(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("rtl: no output port %q", name)
+	out := make([]uint64, len(bus))
+	for bit, l := range bus {
+		out[bit] = logic.LitValue(s.values, l)
+	}
+	return out, nil
 }
 
 // RegValue returns the lane-0 state of a named register as packed bytes,
@@ -465,7 +417,7 @@ func (s *Simulator) RegValue(name string) ([]byte, bool) {
 // RegValueLane returns one lane's state of a named register as packed
 // bytes.
 func (s *Simulator) RegValueLane(name string, lane int) ([]byte, bool) {
-	if lane < 0 || lane >= logic.Lanes {
+	if checkLane(lane) != nil {
 		return nil, false
 	}
 	for i := range s.d.b.regs {
